@@ -9,8 +9,9 @@
 //   * eventual latency at fixed f_a = 1: LP22 ~ n, Lumiere ~ 1.
 //
 // Sizes reach n = 64 (post hot-path overhaul; the sweep was previously
-// capped at 19), and --quick appends a bounded n = 100 Lumiere point —
-// the O(n^2) vote-traffic regime where per-message constants dominate.
+// capped at 19), and --quick appends bounded n = 100 and n = 256 Lumiere
+// points — the O(n^2) vote-traffic regime where per-message constants
+// dominate.
 // CI runs `bench_scaling --quick --json BENCH_scaling.json`.
 #include <cstdio>
 
@@ -124,27 +125,26 @@ void run_protocol(const std::string& pacemaker, const ScalingBudget& budget, Jso
       .set("fit_ev_lat_fa_1", lat_slope);
 }
 
-/// The bounded n = 100 point: Lumiere under one silent leader, eventual
-/// regime only (a worst-permitted-network warmup at this size is a
-/// different experiment — this point exists to prove the substrate
-/// drives n ~ 100 O(n^2)-vote traffic inside a CI budget).
-void run_hundred_point(JsonRows& json) {
-  constexpr std::uint32_t kN = 100;
-  ScenarioBuilder builder = base_scenario("lumiere", kN, 2003);
+/// A bounded large-n point: Lumiere under one silent leader, eventual
+/// regime only (a worst-permitted-network warmup at these sizes is a
+/// different experiment — the point exists to prove the substrate drives
+/// n ~ 100-256 O(n^2)-vote traffic inside a CI budget).
+void run_bounded_point(JsonRows& json, std::uint32_t n) {
+  ScenarioBuilder builder = base_scenario("lumiere", n, 2003);
   builder.delay(std::make_shared<sim::FixedDelay>(Duration::micros(500)));
   with_silent_leaders(builder, 1);
   Cluster cluster(builder);
   cluster.run_for(Duration::seconds(15));
   const auto comm = cluster.metrics().max_msg_gap(TimePoint::origin(), 10);
   const auto lat = cluster.metrics().max_decision_gap(TimePoint::origin(), 10);
-  std::printf("\n--- bounded n=100 point (lumiere, fa=1, 15 sim-s) ---\n");
+  std::printf("\n--- bounded n=%u point (lumiere, fa=1, 15 sim-s) ---\n", n);
   std::printf("decisions %zu | total honest msgs %llu | ev comm %s | ev lat %s ms\n",
               cluster.metrics().decisions().size(),
               static_cast<unsigned long long>(cluster.metrics().total_honest_msgs()),
               fmt_count(comm).c_str(), fmt_ms(lat).c_str());
   json.add_row()
       .set("protocol", "lumiere")
-      .set("n", static_cast<std::uint64_t>(kN))
+      .set("n", static_cast<std::uint64_t>(n))
       .set("bounded", "fa=1 eventual only")
       .set_count("decisions", cluster.metrics().decisions().size())
       .set_count("ev_comm_fa_1", comm)
@@ -164,7 +164,10 @@ int main(int argc, char** argv) {
   for (const char* pacemaker : {"cogsworth", "lp22", "basic-lumiere", "lumiere"}) {
     run_protocol(pacemaker, budget, json);
   }
-  if (args.quick) run_hundred_point(json);
+  if (args.quick) {
+    run_bounded_point(json, 100);
+    run_bounded_point(json, 256);
+  }
   std::printf(
       "\nReading guide: Cogsworth's worst-comm exponent should exceed LP22's and\n"
       "Lumiere's (n^3 vs n^2); Lumiere's fa=1 columns should be ~flat in n\n"

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/assert.h"
@@ -35,6 +36,8 @@ class SignerSet {
   }
 
   [[nodiscard]] std::uint32_t count() const noexcept { return count_; }
+  /// The membership bitmap, 64 ids per word (id i is bit i % 64 of word i / 64).
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return words_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
 
   /// All member ids in increasing order.

@@ -35,7 +35,7 @@ void ChainedHotStuff::handle_new_view(ProcessId from, const NewViewMsg& msg) {
   const View v = msg.view();
   if (hooks_.leader_of(v) != signer_.id()) return;
   if (v < cur_view_) return;  // stale
-  if (msg.high_qc().verify(auth_, params_, &verified_)) {
+  if (msg.high_qc().verify(auth_, params_)) {
     process_qc(msg.high_qc());
   }
   auto [it, inserted] = new_view_senders_.try_emplace(v, SignerSet(params_.n));
@@ -94,7 +94,7 @@ void ChainedHotStuff::handle_proposal(ProcessId from, const ProposalMsg& msg) {
   // block, so blocks at or under it are dead weight — and dropping them
   // bounds what a past leader can stuff into the store.
   if (v <= last_committed_view_) return;
-  if (!block.justify().verify(auth_, params_, &verified_)) return;
+  if (!block.justify().verify(auth_, params_)) return;
   // Store even when the view has passed: commit_chain refuses to commit
   // across a missing ancestor, so a verified block that arrives late
   // (real networks reorder across senders) must still enter the store or
@@ -143,7 +143,7 @@ void ChainedHotStuff::handle_vote(ProcessId /*from*/, const VoteMsg& msg) {
 }
 
 void ChainedHotStuff::handle_qc_msg(const QcMsg& msg) {
-  if (!msg.qc().verify(auth_, params_, &verified_)) return;
+  if (!msg.qc().verify(auth_, params_)) return;
   process_qc(msg.qc());
 }
 

@@ -109,10 +109,8 @@ class ChainedHotStuff final : public ConsensusCore {
   std::set<View> closed_views_;
   std::map<View, Block> pending_proposals_;
   std::set<View> seen_qc_views_;
-  /// Hot-path memos: per-(view, block) vote statements and fingerprints
-  /// of QCs that already passed full verification.
+  /// Hot-path memo: per-(view, block) vote statements.
   StatementCache statements_;
-  QcVerifyCache verified_;
 };
 
 }  // namespace lumiere::consensus

@@ -45,7 +45,7 @@ void HotStuff2::handle_new_view(ProcessId from, const NewViewMsg& msg) {
   if (hooks_.leader_of(v) != signer_.id()) return;
   if (v < cur_view_) return;  // stale
   (void)from;
-  if (msg.high_qc().verify(auth_, params_, &verified_)) {
+  if (msg.high_qc().verify(auth_, params_)) {
     process_qc(msg.high_qc());
     maybe_propose();
   }
@@ -111,7 +111,7 @@ void HotStuff2::handle_proposal(ProcessId from, const ProposalMsg& msg) {
   // block, so blocks at or under it are dead weight — and dropping them
   // bounds what a past leader can stuff into the store.
   if (v <= last_committed_view_) return;
-  if (!block.justify().verify(auth_, params_, &verified_)) return;
+  if (!block.justify().verify(auth_, params_)) return;
   // Store even when the view has passed: the commit walk refuses to cross
   // a missing ancestor, so a verified block that arrives late (real
   // networks reorder across senders) must still enter the store or this
@@ -160,7 +160,7 @@ void HotStuff2::handle_vote(ProcessId /*from*/, const VoteMsg& msg) {
 }
 
 void HotStuff2::handle_qc_msg(const QcMsg& msg) {
-  if (!msg.qc().verify(auth_, params_, &verified_)) return;
+  if (!msg.qc().verify(auth_, params_)) return;
   process_qc(msg.qc());
   // The QC may have just unlocked the responsive path for a view this
   // node already entered (QC(v-1) arriving after the view change).

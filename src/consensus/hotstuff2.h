@@ -129,10 +129,8 @@ class HotStuff2 final : public ConsensusCore {
   std::set<View> seen_qc_views_;
   std::uint64_t responsive_proposals_ = 0;
   std::uint64_t fallback_proposals_ = 0;
-  /// Hot-path memos: per-(view, block) vote statements and fingerprints
-  /// of QCs that already passed full verification.
+  /// Hot-path memo: per-(view, block) vote statements.
   StatementCache statements_;
-  QcVerifyCache verified_;
 };
 
 }  // namespace lumiere::consensus

@@ -117,7 +117,7 @@ void SimpleViewCore::handle_vote(ProcessId /*from*/, const VoteMsg& msg) {
 void SimpleViewCore::handle_qc(const QcMsg& msg) {
   const QuorumCert& qc = msg.qc();
   if (seen_qc_views_.contains(qc.view())) return;
-  if (!qc.verify(auth_, params_, &verified_)) return;
+  if (!qc.verify(auth_, params_)) return;
   seen_qc_views_.insert(qc.view());
   if (qc.view() > high_qc_.view()) high_qc_ = qc;
   if (cb_.qc_seen) cb_.qc_seen(qc);

@@ -72,10 +72,8 @@ class SimpleViewCore final : public ConsensusCore {
   std::set<View> closed_views_;
   /// Views for which some QC has already been observed (dedupe).
   std::set<View> seen_qc_views_;
-  /// Hot-path memos: per-(view, block) vote statements and fingerprints
-  /// of QCs that already passed full verification.
+  /// Hot-path memo: per-(view, block) vote statements.
   StatementCache statements_;
-  QcVerifyCache verified_;
 };
 
 }  // namespace lumiere::consensus

@@ -4,7 +4,8 @@
 // Every Signer and AuthView can carry a pointer to one AuthOpCounters;
 // when set, each primitive operation bumps the matching counter. The
 // counts are *semantic* (one verify_share call = one share-verify, even
-// when the VerifyMemo answers it), so sim and TCP runs of the same
+// when the CheckMemo answers it; a node's repeat of an aggregate it
+// already accepted counts once), so sim and TCP runs of the same
 // scenario report identical numbers — the tracer attributes protocol
 // cost, not scheme microarchitecture. Atomics with relaxed ordering keep
 // the counters safe to bump from TCP driver threads and to snapshot from

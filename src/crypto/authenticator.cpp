@@ -1,7 +1,10 @@
 #include "crypto/authenticator.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "crypto/ed25519.h"
 #include "crypto/hmac_scheme.h"
@@ -45,53 +48,88 @@ bool Authenticator::check_aggregate(const ThresholdSig& sig) const {
   return check_aggregate_tag(sig);
 }
 
-namespace {
-
-void update_u32(Sha256& h, std::uint32_t v) {
-  const std::uint8_t bytes[4] = {
-      static_cast<std::uint8_t>(v),
-      static_cast<std::uint8_t>(v >> 8),
-      static_cast<std::uint8_t>(v >> 16),
-      static_cast<std::uint8_t>(v >> 24),
+CheckMemo::Key CheckMemo::key(std::uint32_t kind, std::uint32_t who, const Digest& message,
+                              std::span<const std::uint64_t> signers,
+                              std::span<const std::uint8_t> tag) {
+  // A field that does not fit is stored as its SHA-256; the recorded
+  // length (tag) or universe (signers) keeps the two forms apart.
+  const auto put = [](std::array<std::uint8_t, 32>& field, std::span<const std::uint8_t> bytes) {
+    if (bytes.size() > field.size()) {
+      field = Sha256::hash(bytes).bytes();
+    } else if (!bytes.empty()) {
+      std::memcpy(field.data(), bytes.data(), bytes.size());
+    }
   };
-  h.update(std::span<const std::uint8_t>(bytes, 4));
+  Key k{};
+  k.kind = kind;
+  k.who = who;
+  k.len = static_cast<std::uint32_t>(tag.size());
+  k.message = message.bytes();
+  put(k.signers, {reinterpret_cast<const std::uint8_t*>(signers.data()), signers.size_bytes()});
+  put(k.tag, tag);
+  return k;
 }
 
-}  // namespace
-
-Digest share_fingerprint(const Digest& message, const PartialSig& share) {
-  Sha256 h;
-  h.update("lumiere.memo.share");
-  h.update(message.as_span());
-  update_u32(h, share.signer);
-  h.update(share.sig.span());
-  return h.finish();
+CheckMemo::CheckMemo(std::uint32_t n)
+    : words_((n + 63) / 64),
+      slots_(static_cast<Key*>(std::calloc(kSlots, sizeof(Key))), std::free),
+      accepted_(static_cast<std::uint64_t*>(std::calloc(kSlots * words_, sizeof(std::uint64_t))),
+                std::free) {
+  static_assert(std::has_unique_object_representations_v<Key>, "probe() compares keys bytewise");
+  LUMIERE_ASSERT_MSG(slots_ != nullptr && accepted_ != nullptr, "CheckMemo allocation failed");
 }
 
-Digest aggregate_fingerprint(const ThresholdSig& sig) {
-  Sha256 h;
-  h.update("lumiere.memo.agg");
-  h.update(sig.message.as_span());
-  update_u32(h, sig.signers.universe_size());
-  for (const ProcessId id : sig.signers.members()) update_u32(h, id);
-  h.update(sig.tag.span());
-  return h.finish();
+CheckMemo::Hit CheckMemo::probe(const Key& key, ProcessId node, bool store) {
+  // The message is already a digest; mixing in the tag spreads distinct
+  // aggregates over one statement across sets.
+  std::uint64_t m = 0;
+  std::uint64_t t = 0;
+  std::memcpy(&m, key.message.data(), sizeof(m));
+  std::memcpy(&t, key.tag.data(), sizeof(t));
+  const std::uint64_t h = (m ^ (t * 0x9E3779B97F4A7C15ULL) ^ key.who) * 0xBF58476D1CE4E5B9ULL;
+  const std::size_t set = static_cast<std::size_t>(h >> 32) % next_victim_.size();
+  const std::size_t first = set * kWays;
+  std::lock_guard<std::mutex> lock(stripes_[set % stripes_.size()]);
+  std::size_t slot = first;
+  while (slot < first + kWays && std::memcmp(&slots_[slot], &key, sizeof(Key)) != 0) ++slot;
+  if (slot == first + kWays) {
+    if (!store) return Hit::kMiss;
+    for (slot = first; slot < first + kWays && slots_[slot].kind != 0; ++slot) {
+    }
+    if (slot == first + kWays) {  // full: evict the oldest (ways fill in order)
+      slot = first + next_victim_[set];
+      next_victim_[set] = static_cast<std::uint8_t>((next_victim_[set] + 1) % kWays);
+    } else {
+      size_.fetch_add(1, std::memory_order_relaxed);
+    }
+    slots_[slot] = key;
+    std::fill_n(&accepted_[slot * words_], words_, 0);
+  }
+  if (node / 64 >= words_) return Hit::kVerified;  // kNoProcess
+  std::uint64_t& word = accepted_[slot * words_ + node / 64];
+  const std::uint64_t bit = 1ULL << (node % 64);
+  const Hit hit = (word & bit) != 0 ? Hit::kRepeat : Hit::kVerified;
+  word |= bit;
+  return hit;
 }
 
 bool AuthView::verify_share(const Digest& message, const PartialSig& share) const {
   // Counted before the memo lookup: the count is semantic (one protocol
-  // verification), identical whether the pipeline pre-answered it or not.
+  // verification), identical whoever checked the bytes first.
   if (ops_ != nullptr) ops_->count_share_verify();
-  if (memo_ != nullptr && memo_->contains(share_fingerprint(message, share))) return true;
-  return auth_->check_share(message, share);
+  return auth_->memo().contains(message, share) || auth_->check_share(message, share);
 }
 
 bool AuthView::verify_aggregate(const ThresholdSig& sig, std::uint32_t min_signers) const {
+  const bool plausible =
+      sig.signers.count() >= min_signers && sig.signers.universe_size() == auth_->n();
+  const CheckMemo::Hit hit = plausible ? auth_->memo().lookup(sig, node_) : CheckMemo::Hit::kMiss;
+  if (hit == CheckMemo::Hit::kRepeat) return true;
   if (ops_ != nullptr) ops_->count_aggregate_verify();
-  if (sig.signers.count() < min_signers) return false;
-  if (sig.signers.universe_size() != auth_->n()) return false;
-  if (memo_ != nullptr && memo_->contains(aggregate_fingerprint(sig))) return true;
-  return auth_->check_aggregate(sig);
+  if (hit == CheckMemo::Hit::kVerified) return true;
+  if (!plausible || !auth_->check_aggregate(sig)) return false;
+  auth_->memo().insert(sig, node_);
+  return true;
 }
 
 QuorumAggregator::QuorumAggregator(AuthView auth, Digest message, std::uint32_t m)

@@ -18,17 +18,20 @@
 //     content but can never forge an honest process's signature.
 //   * `QuorumAggregator` — collects verified shares for one statement
 //     until a threshold m is reached and emits the scheme's aggregate.
-//   * `AuthView` — the per-node verification facade: scheme plus an
-//     optional `VerifyMemo` of signatures a pipeline worker pool already
-//     checked off-thread (runtime/pipeline.h), so the single-threaded
-//     consensus core skips re-verification without changing its
-//     accept/reject semantics.
+//   * `CheckMemo` — the claims the scheme already passed, owned by the
+//     Authenticator and so shared by every replica and pipeline worker of
+//     one process: a certificate n replicas receive is checked once.
+//   * `AuthView` — the per-node verification facade: counts each check in
+//     the node's AuthOpCounters, then asks the memo, then the scheme.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/assert.h"
@@ -89,6 +92,70 @@ struct ThresholdSig {
 /// it, so aggregation stays scheme-agnostic).
 [[nodiscard]] Digest share_statement(const Digest& message);
 
+/// The claims one Authenticator's scheme has passed: shares (message,
+/// signer, signature) and aggregates (message, signer set, tag). Only
+/// claims that passed a full check are stored, and a lookup matches every
+/// field byte for byte (one longer than 32 bytes, such as an ed25519
+/// tag, as its SHA-256), so a hit answers what the scheme would. Each
+/// slot records which replicas accepted its claim. Bounded and flat:
+/// kSlots calloc'ed slots (untouched pages cost nothing), kWays-way
+/// set-associative, FIFO within a set; striped mutexes make it safe for
+/// TCP driver threads and pipeline workers.
+class CheckMemo {
+ public:
+  static constexpr std::size_t kSlots = 8192;
+  static constexpr std::size_t kWays = 8;
+
+  enum class Hit : std::uint8_t {
+    kMiss,      ///< not stored: run the scheme
+    kVerified,  ///< stored; first acceptance by this replica
+    kRepeat,    ///< this replica already accepted exactly this claim
+  };
+
+  /// `n` is the signer universe; it sizes the per-slot replica bitmap.
+  explicit CheckMemo(std::uint32_t n);
+
+  /// Looks an aggregate up and, on a hit, records that `node` accepted
+  /// it. kNoProcess records nothing and never sees kRepeat.
+  Hit lookup(const ThresholdSig& sig, ProcessId node) { return probe(key(sig), node, false); }
+  [[nodiscard]] bool contains(const Digest& message, const PartialSig& share) {
+    return probe(key(message, share), kNoProcess, false) != Hit::kMiss;
+  }
+
+  /// Stores a claim that just passed a full check.
+  void insert(const ThresholdSig& sig, ProcessId node) { probe(key(sig), node, true); }
+  void insert(const Digest& message, const PartialSig& share) {
+    probe(key(message, share), kNoProcess, true);
+  }
+
+  /// Occupied slots, at most kSlots.
+  [[nodiscard]] std::size_t size() const noexcept { return size_.load(std::memory_order_relaxed); }
+
+ private:
+  struct Key {
+    std::uint32_t kind;  ///< 0 = empty slot, else share or aggregate
+    std::uint32_t who;   ///< share: signer id; aggregate: signer universe
+    std::uint32_t len;   ///< signature or tag length
+    std::array<std::uint8_t, 32> message, signers, tag;
+  };
+  static Key key(std::uint32_t kind, std::uint32_t who, const Digest& message,
+                 std::span<const std::uint64_t> signers, std::span<const std::uint8_t> tag);
+  static Key key(const ThresholdSig& sig) {
+    return key(2, sig.signers.universe_size(), sig.message, sig.signers.words(), sig.tag.span());
+  }
+  static Key key(const Digest& message, const PartialSig& share) {
+    return key(1, share.signer, message, {}, share.sig.span());
+  }
+  Hit probe(const Key& key, ProcessId node, bool store);
+
+  std::size_t words_;  ///< replica-bitmap words per slot
+  std::unique_ptr<Key[], void (*)(void*)> slots_;
+  std::unique_ptr<std::uint64_t[], void (*)(void*)> accepted_;
+  std::array<std::uint8_t, kSlots / kWays> next_victim_{};  ///< FIFO cursor per set
+  std::array<std::mutex, 64> stripes_;
+  std::atomic<std::size_t> size_{0};
+};
+
 class Authenticator;
 
 /// A signing capability for exactly one process id.
@@ -119,9 +186,9 @@ class Signer {
 /// Produces a share for `signer` over `message` (= signer.share).
 [[nodiscard]] PartialSig threshold_share(const Signer& signer, const Digest& message);
 
-/// A per-cluster authenticator scheme: the trusted key registry plus the
-/// scheme's sign/verify/aggregate primitives. Instances are immutable
-/// after construction and safe to share across threads.
+/// A per-cluster authenticator scheme: the trusted key registry, the
+/// scheme's primitives and the (thread-safe) CheckMemo of claims they
+/// passed. Safe to share across threads.
 class Authenticator {
  public:
   virtual ~Authenticator() = default;
@@ -150,16 +217,18 @@ class Authenticator {
   [[nodiscard]] bool verify(const Digest& message, const Signature& sig) const;
 
   /// Full validity check of one share over `message` (bounds + crypto).
-  /// Used directly by pipeline workers; protocol code goes through the
-  /// memo-aware AuthView.
+  /// Never consults the memo; protocol code goes through AuthView.
   [[nodiscard]] bool check_share(const Digest& message, const PartialSig& share) const;
 
   /// Full cryptographic validity of an aggregate (universe + tag); the
   /// threshold itself (min signers) is the caller's check.
   [[nodiscard]] bool check_aggregate(const ThresholdSig& sig) const;
 
+  /// The claims this instance's checks passed (shared by every AuthView).
+  [[nodiscard]] CheckMemo& memo() const noexcept { return memo_; }
+
  protected:
-  explicit Authenticator(std::uint32_t n) : n_(n) { LUMIERE_ASSERT(n >= 1); }
+  explicit Authenticator(std::uint32_t n) : n_(n), memo_(n) { LUMIERE_ASSERT(n >= 1); }
 
   // -- scheme primitives -------------------------------------------------
   [[nodiscard]] virtual SigBytes sign_blob(ProcessId id, const Digest& message) const = 0;
@@ -176,48 +245,19 @@ class Authenticator {
   friend class QuorumAggregator;
 
   std::uint32_t n_;
-};
-
-/// Fingerprint of one verified share claim, for the VerifyMemo. Binds the
-/// statement, the signer and the signature bytes.
-[[nodiscard]] Digest share_fingerprint(const Digest& message, const PartialSig& share);
-
-/// Fingerprint of one verified aggregate claim.
-[[nodiscard]] Digest aggregate_fingerprint(const ThresholdSig& sig);
-
-/// Signatures a pipeline worker pool already verified for one node.
-///
-/// Single-writer: only the node's driver thread inserts (after popping a
-/// worker result from the verified queue) and only that thread's protocol
-/// code reads, so no locking is needed. Bounded: when full, the set is
-/// cleared — a memo miss only costs a re-verification, never correctness.
-class VerifyMemo {
- public:
-  explicit VerifyMemo(std::size_t max_entries = 1 << 16) : max_entries_(max_entries) {}
-
-  void remember(const Digest& fingerprint) {
-    if (seen_.size() >= max_entries_) seen_.clear();
-    seen_.insert(fingerprint);
-  }
-  [[nodiscard]] bool contains(const Digest& fingerprint) const {
-    return seen_.find(fingerprint) != seen_.end();
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return seen_.size(); }
-
- private:
-  std::size_t max_entries_;
-  std::unordered_set<Digest> seen_;
+  mutable CheckMemo memo_;
 };
 
 /// The per-node verification facade protocol code holds: the cluster's
-/// scheme plus (on the TCP pipeline) the node's memo of pre-verified
-/// signatures. Copyable value; null memo means every check is done inline.
+/// scheme, the node's op counters and the node's id. Copyable value.
+/// Every check is counted first, then answered by the Authenticator's
+/// memo when it can be, else by the scheme.
 class AuthView {
  public:
   AuthView() = default;
-  explicit AuthView(const Authenticator* auth, const VerifyMemo* memo = nullptr,
-                    AuthOpCounters* ops = nullptr) noexcept
-      : auth_(auth), memo_(memo), ops_(ops) {}
+  explicit AuthView(const Authenticator* auth, AuthOpCounters* ops = nullptr,
+                    ProcessId node = kNoProcess) noexcept
+      : auth_(auth), ops_(ops), node_(node) {}
 
   [[nodiscard]] const Authenticator* scheme() const noexcept { return auth_; }
   [[nodiscard]] std::uint32_t n() const noexcept { return auth_->n(); }
@@ -230,12 +270,15 @@ class AuthView {
     return auth_->verify(message, sig);
   }
 
-  /// Share validity, consulting the memo before the scheme.
+  /// Share validity, consulting the memo before the scheme. Stores
+  /// nothing: a share travels to one collector, so only a pipeline
+  /// worker's check of it is ever asked again (runtime/pipeline.h).
   [[nodiscard]] bool verify_share(const Digest& message, const PartialSig& share) const;
 
   /// Aggregate validity: threshold + universe first (always inline —
   /// they are cheap and min_signers is call-site-specific), then memo or
-  /// scheme for the cryptographic tag.
+  /// scheme for the cryptographic tag. A node's repeat of an aggregate it
+  /// already accepted is not counted again.
   [[nodiscard]] bool verify_aggregate(const ThresholdSig& sig, std::uint32_t min_signers) const;
 
   /// The attached op counters (null when observability is off).
@@ -243,8 +286,8 @@ class AuthView {
 
  private:
   const Authenticator* auth_ = nullptr;
-  const VerifyMemo* memo_ = nullptr;
   AuthOpCounters* ops_ = nullptr;
+  ProcessId node_ = kNoProcess;
 };
 
 /// Collects shares for one message until a threshold m is reached.

@@ -137,7 +137,7 @@ void Disseminator::maybe_finalize(std::uint64_t seq) {
 }
 
 void Disseminator::handle_cert(const BatchCertMsg& msg) {
-  if (!verify_cert_cached(msg.cert())) return;
+  if (!msg.cert().verify(auth_, params_)) return;
   accept_cert(msg.cert());
 }
 
@@ -155,20 +155,6 @@ void Disseminator::accept_cert(const BatchCert& cert) {
   queue_.push_back(cert);
   queued_.insert(id);
   sample_depth();
-}
-
-bool Disseminator::verify_cert_cached(const BatchCert& cert) {
-  ser::Writer w(std::move(scratch_));
-  cert.serialize(w);
-  scratch_ = std::move(w).take();
-  const crypto::Digest key =
-      crypto::Sha256::hash(std::span<const std::uint8_t>(scratch_.data(), scratch_.size()));
-  if (verified_certs_.contains(key)) return true;
-  if (!cert.verify(auth_, params_)) return false;
-  // Cap as QcVerifyCache does: junk certs must not grow this unboundedly.
-  if (verified_certs_.size() >= 4096) verified_certs_.clear();
-  verified_certs_.insert(key);
-  return true;
 }
 
 std::vector<std::uint8_t> Disseminator::make_proposal_payload(View /*v*/) {
@@ -190,7 +176,7 @@ bool Disseminator::refs_payload_ok(std::span<const std::uint8_t> payload) {
   const auto refs = decode_refs(payload, auth_.wire_spec());
   if (!refs) return false;
   for (const BatchCert& cert : *refs) {
-    if (!verify_cert_cached(cert)) return false;
+    if (!cert.verify(auth_, params_)) return false;
   }
   return true;
 }

@@ -25,7 +25,6 @@
 #include <map>
 #include <set>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/params.h"
@@ -123,10 +122,6 @@ class Disseminator {
   void maybe_finalize(std::uint64_t seq);
   /// Queues a verified cert as orderable (no-op if ordered or queued).
   void accept_cert(const BatchCert& cert);
-  /// Full cert verification with a fingerprint memo (every proposal
-  /// re-carries its refs' certs; re-checking f+1 MACs each time would
-  /// dominate the vote path).
-  [[nodiscard]] bool verify_cert_cached(const BatchCert& cert);
   void schedule_reinsert(const BatchCert& cert);
   void deliver_one(const BatchId& id);
   void send_fetches(const BatchCert& cert);
@@ -150,8 +145,6 @@ class Disseminator {
   std::set<BatchId> queued_;      ///< source of truth for queue membership
   std::set<BatchId> ordered_;     ///< references already committed+deduped on this node
   std::map<BatchId, BatchCert> unresolved_;  ///< committed, payload still missing
-  std::unordered_set<crypto::Digest> verified_certs_;  ///< serialized-cert fingerprints
-  std::vector<std::uint8_t> scratch_;                  ///< fingerprint encode buffer
 
   std::uint64_t pushed_ = 0;
   std::uint64_t certified_ = 0;

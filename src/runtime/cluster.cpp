@@ -380,23 +380,19 @@ void Cluster::build_tcp_cluster(std::vector<std::unique_ptr<adversary::Behavior>
     obs::AdminGate* gate = admin_enabled ? admin_gates_[id].get() : nullptr;
     if (scenario_.pipeline.enabled) {
       // Staged receive path: the endpoint hands raw frames to the worker
-      // pool; the driver drains verified results back on the node's own
-      // thread, seeding the memo before delivery so the consensus core
-      // skips re-verification (runtime/pipeline.h).
+      // pool, whose checks seed the authenticator's shared memo; the
+      // driver delivers the decoded results on the node's own thread, so
+      // the consensus core skips re-verification (runtime/pipeline.h).
       pipelines_.push_back(
           std::make_unique<VerifyPipeline>(auth_.get(), make_codec(), scenario_.pipeline));
       VerifyPipeline* pipeline = pipelines_.back().get();
-      Node* node = nodes_.back().get();
       transport::TcpTransportAdapter* adapter = adapters_.back().get();
       adapter->endpoint().set_raw_sink(
           [pipeline](ProcessId from, std::span<const std::uint8_t> payload) {
             return pipeline->submit(from, payload);
           });
-      drivers_.back()->set_pump([this, id, pipeline, node, adapter, gate] {
+      drivers_.back()->set_pump([this, id, pipeline, adapter, gate] {
         pipeline->drain([&](VerifyPipeline::Result&& result) {
-          for (const crypto::Digest& fp : result.fingerprints) {
-            node->verify_memo().remember(fp);
-          }
           adapter->deliver_decoded(result.from, result.msg);
         });
         if (gate != nullptr) {

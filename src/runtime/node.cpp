@@ -13,7 +13,7 @@ Node::Node(const ProtocolParams& params, ProcessId id, sim::Simulator* sim,
       id_(id),
       sim_(sim),
       network_(network),
-      auth_view_(auth, &memo_, config.auth_ops),
+      auth_view_(auth, config.auth_ops, id),
       signer_(auth->signer_for(id)),
       observers_(std::move(observers)),
       behavior_(std::move(behavior)),

@@ -126,9 +126,6 @@ class Node {
   [[nodiscard]] const sync::BlockSynchronizer* synchronizer() const noexcept {
     return sync_.get();
   }
-  /// The memo of signatures the verify pipeline already checked for
-  /// this node. Written only by the node's driver thread (TCP).
-  [[nodiscard]] crypto::VerifyMemo& verify_memo() noexcept { return memo_; }
   /// The verification facade this node's protocol layers use.
   [[nodiscard]] crypto::AuthView auth_view() const noexcept { return auth_view_; }
 
@@ -146,7 +143,6 @@ class Node {
   ProcessId id_;
   sim::Simulator* sim_;
   MessageTransport* network_;
-  crypto::VerifyMemo memo_;
   crypto::AuthView auth_view_;
   crypto::Signer signer_;
   NodeObservers observers_;

@@ -8,38 +8,32 @@ namespace lumiere::runtime {
 
 namespace {
 
-/// Runs every claim a message reports through the scheme and keeps the
-/// fingerprints of the ones that passed. Failures are dropped silently:
-/// the consensus core re-checks inline and rejects them itself.
+/// Runs every claim a message reports through the scheme and stores the
+/// ones that pass in the Authenticator's memo. Failures are dropped
+/// silently: the consensus core re-checks inline and rejects them itself.
 class ClaimChecker final : public AuthClaimSink {
  public:
-  ClaimChecker(const crypto::Authenticator& auth, std::vector<crypto::Digest>& out)
-      : auth_(auth), out_(out) {}
+  explicit ClaimChecker(const crypto::Authenticator& auth) : auth_(auth) {}
 
   void share(const crypto::Digest& message, const crypto::PartialSig& share) override {
-    ++checked_;
-    if (auth_.check_share(message, share)) {
-      ++passed_;
-      out_.push_back(crypto::share_fingerprint(message, share));
+    ++checked;
+    if (auth_.memo().contains(message, share) || auth_.check_share(message, share)) {
+      auth_.memo().insert(message, share);
+      ++passed;
     }
   }
 
   void aggregate(const crypto::ThresholdSig& sig) override {
-    ++checked_;
-    if (auth_.check_aggregate(sig)) {
-      ++passed_;
-      out_.push_back(crypto::aggregate_fingerprint(sig));
-    }
+    ++checked;
+    // An uncounted view: it stores what passes, for every replica.
+    if (crypto::AuthView(&auth_).verify_aggregate(sig, /*min_signers=*/1)) ++passed;
   }
 
-  [[nodiscard]] std::uint64_t checked() const noexcept { return checked_; }
-  [[nodiscard]] std::uint64_t passed() const noexcept { return passed_; }
+  std::uint64_t checked = 0;
+  std::uint64_t passed = 0;
 
  private:
   const crypto::Authenticator& auth_;
-  std::vector<crypto::Digest>& out_;
-  std::uint64_t checked_ = 0;
-  std::uint64_t passed_ = 0;
 };
 
 }  // namespace
@@ -145,12 +139,12 @@ void VerifyPipeline::process(Frame frame) {
   Result result;
   result.from = frame.from;
   result.msg = msg;
-  ClaimChecker checker(*auth_, result.fingerprints);
+  ClaimChecker checker(*auth_);
   msg->collect_auth(checker);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.claims_checked += checker.checked();
-    stats_.claims_passed += checker.passed();
+    stats_.claims_checked += checker.checked;
+    stats_.claims_passed += checker.passed;
     ++stats_.frames_out;
   }
   std::lock_guard<std::mutex> lock(egress_mu_);

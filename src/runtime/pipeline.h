@@ -6,15 +6,16 @@
 // zero-cost sim default) the checks dominate. This module splits the receive path into stages:
 //
 //   socket read -> [bounded ingress queue] -> worker pool: decode +
-//   verify every signature the frame carries -> [egress queue] ->
-//   driver thread: seed the node's VerifyMemo, deliver to consensus
+//   verify every signature the frame carries, storing the ones that pass
+//   in the Authenticator's CheckMemo -> [egress queue] -> driver thread:
+//   deliver to consensus
 //
 // The consensus core stays single-threaded and deterministic: workers
 // never touch protocol state, they only pre-answer the cryptographic
-// yes/no questions the core would ask later (via crypto::AuthView's memo
-// path). A claim that fails off-thread is simply not memoized — the core
-// re-checks inline and rejects exactly as it would have, so Byzantine
-// garbage cannot change accept/reject semantics, only cost.
+// yes/no questions the core would ask later (its AuthView consults the
+// same memo). A claim that fails off-thread is simply not memoized — the
+// core re-checks inline and rejects exactly as it would have, so
+// Byzantine garbage cannot change accept/reject semantics, only cost.
 //
 // Frames from different peers may reorder across workers; the protocol
 // already tolerates arbitrary network reordering, and the deterministic
@@ -53,16 +54,13 @@ struct PipelineSpec {
 ///   * the node's driver thread calls submit() (from the socket read
 ///     path), drain() (each pump iteration) and start()/stop() (fault
 ///     schedule);
-///   * workers only read the shared Authenticator/MessageCodec (both
-///     immutable after construction) and the queues.
+///   * workers read the shared MessageCodec and the queues, and write
+///     the shared Authenticator's (thread-safe) memo.
 class VerifyPipeline {
  public:
   struct Result {
     ProcessId from = kNoProcess;
     MessagePtr msg;
-    /// Fingerprints of the claims that verified (crypto/authenticator.h);
-    /// the driver thread inserts them into the node's VerifyMemo.
-    std::vector<crypto::Digest> fingerprints;
   };
 
   struct Stats {

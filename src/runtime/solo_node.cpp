@@ -118,17 +118,13 @@ SoloNodeRuntime::SoloNodeRuntime(const ClusterSpec& spec, ProcessId id, Options 
   if (scenario.pipeline.enabled) {
     pipeline_ = std::make_unique<VerifyPipeline>(auth_.get(), make_codec(), scenario.pipeline);
     VerifyPipeline* pipeline = pipeline_.get();
-    Node* node = node_.get();
     transport::TcpTransportAdapter* adapter = adapter_.get();
     adapter_->endpoint().set_raw_sink(
         [pipeline](ProcessId from, std::span<const std::uint8_t> payload) {
           return pipeline->submit(from, payload);
         });
-    driver_->set_pump([this, pipeline, node, adapter, gate] {
+    driver_->set_pump([this, pipeline, adapter, gate] {
       pipeline->drain([&](VerifyPipeline::Result&& result) {
-        for (const crypto::Digest& fp : result.fingerprints) {
-          node->verify_memo().remember(fp);
-        }
         adapter->deliver_decoded(result.from, result.msg);
       });
       gate->drain([this](const obs::AdminCommand& command) { return apply_admin(command); });

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "crypto/authenticator.h"
 
@@ -94,23 +95,101 @@ TEST_F(QuorumCertTest, StatementCacheMatchesDirectComputation) {
   }
 }
 
-TEST_F(QuorumCertTest, VerifyCacheAcceptsOnlyTheExactVerifiedBytes) {
+TEST_F(QuorumCertTest, SharedMemoAcceptsOnlyTheExactVerifiedBytes) {
   const crypto::Digest h = crypto::Sha256::hash("block");
   const QuorumCert qc = make_qc(3, h, params_.quorum());
-  QcVerifyCache cache;
-  EXPECT_TRUE(qc.verify(auth(), params_, &cache));
-  EXPECT_TRUE(cache.known_good(cache.fingerprint(qc)));
-  EXPECT_TRUE(qc.verify(auth(), params_, &cache)) << "memo hit must still accept";
+  EXPECT_TRUE(qc.verify(auth(), params_));
+  EXPECT_EQ(auth_->memo().lookup(qc.sig(), kNoProcess), crypto::CheckMemo::Hit::kVerified);
+  EXPECT_TRUE(qc.verify(auth(), params_)) << "memo hit must still accept";
 
   // A *different* QC for the same (view, block) — here a thin one with
-  // fewer signers — must not ride the memo: its fingerprint differs.
+  // fewer signers — must not ride the memo.
   crypto::QuorumAggregator agg(auth(), QuorumCert::statement(3, h), params_.small_quorum());
   for (ProcessId id = 0; id < params_.small_quorum(); ++id) {
     agg.add(crypto::threshold_share(auth_->signer_for(id), QuorumCert::statement(3, h)));
   }
   const QuorumCert thin(3, h, agg.aggregate());
-  EXPECT_FALSE(thin.verify(auth(), params_, &cache));
-  EXPECT_FALSE(cache.known_good(cache.fingerprint(thin)));
+  EXPECT_FALSE(thin.verify(auth(), params_));
+  EXPECT_EQ(auth_->memo().lookup(thin.sig(), kNoProcess), crypto::CheckMemo::Hit::kMiss);
+
+  // The memoized aggregate transplanted onto another view is rejected:
+  // the statement is recomputed before the memo is asked.
+  EXPECT_FALSE(QuorumCert(4, h, qc.sig()).verify(auth(), params_));
+}
+
+/// Delegates to the default scheme through its public API and counts the
+/// aggregate checks that reach it, so a test can tell a memo hit from a
+/// full check.
+class CountingAuthenticator final : public crypto::Authenticator {
+ public:
+  explicit CountingAuthenticator(std::uint32_t n)
+      : Authenticator(n), inner_(crypto::make_authenticator(crypto::kDefaultScheme, n, 42)) {}
+
+  [[nodiscard]] const char* scheme_name() const noexcept override { return "counting"; }
+  [[nodiscard]] crypto::SigWireSpec wire_spec() const noexcept override {
+    return inner_->wire_spec();
+  }
+  [[nodiscard]] int aggregate_checks() const noexcept { return aggregate_checks_; }
+
+ protected:
+  [[nodiscard]] crypto::SigBytes sign_blob(ProcessId id, const crypto::Digest& m) const override {
+    return inner_->signer_for(id).sign(m).sig;
+  }
+  [[nodiscard]] bool check_signature(ProcessId id, const crypto::Digest& m,
+                                     const crypto::SigBytes& sig) const override {
+    return inner_->verify(m, crypto::Signature{id, sig});
+  }
+  [[nodiscard]] crypto::SigBytes aggregate_tag(
+      const crypto::Digest& m, const std::vector<crypto::PartialSig>& shares) const override {
+    crypto::QuorumAggregator agg(crypto::AuthView(inner_.get()), m,
+                                 static_cast<std::uint32_t>(shares.size()));
+    for (const crypto::PartialSig& share : shares) agg.add(share);
+    return agg.aggregate().tag;
+  }
+  [[nodiscard]] bool check_aggregate_tag(const crypto::ThresholdSig& sig) const override {
+    ++aggregate_checks_;
+    return inner_->check_aggregate(sig);
+  }
+
+ private:
+  std::unique_ptr<crypto::Authenticator> inner_;
+  mutable int aggregate_checks_ = 0;
+};
+
+TEST(QuorumCertCountTest, SecondReplicaHitsTheMemoButCountsAsBefore) {
+  // Replicas A and B share one authenticator, hence one memo. B's first
+  // check of a QC A already verified is a memo hit (the scheme does not
+  // run again), yet B's counters record it exactly as when every replica
+  // verified for itself; B's repeat of the same QC stays uncounted, as
+  // it was when each replica remembered the QCs it accepted.
+  const ProtocolParams params = ProtocolParams::for_n(7, Duration::millis(10));
+  const CountingAuthenticator scheme(7);
+  crypto::AuthOpCounters a_ops;
+  crypto::AuthOpCounters b_ops;
+  const crypto::AuthView a(&scheme, &a_ops, /*node=*/0);
+  const crypto::AuthView b(&scheme, &b_ops, /*node=*/1);
+
+  const crypto::Digest h = crypto::Sha256::hash("block");
+  const crypto::Digest statement = QuorumCert::statement(5, h);
+  crypto::QuorumAggregator agg(crypto::AuthView(&scheme), statement, params.quorum());
+  for (ProcessId id = 0; id < params.quorum(); ++id) {
+    agg.add(crypto::threshold_share(scheme.signer_for(id), statement));
+  }
+  const QuorumCert qc(5, h, agg.aggregate());
+
+  EXPECT_TRUE(qc.verify(a, params));
+  EXPECT_EQ(scheme.aggregate_checks(), 1);
+  EXPECT_EQ(a_ops.snapshot().aggregate_verifies, 1U);
+
+  EXPECT_TRUE(qc.verify(b, params));
+  EXPECT_EQ(scheme.aggregate_checks(), 1) << "B's check must be a memo hit";
+  EXPECT_EQ(b_ops.snapshot().aggregate_verifies, 1U) << "B counts its first check";
+
+  EXPECT_TRUE(qc.verify(b, params));
+  EXPECT_EQ(b_ops.snapshot().aggregate_verifies, 1U) << "B's repeat stays uncounted";
+  EXPECT_EQ(b_ops.snapshot().total(), 1U);
+  EXPECT_EQ(a_ops.snapshot().total(), 1U);
+  EXPECT_EQ(scheme.aggregate_checks(), 1);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -22,6 +23,17 @@ class AuthenticatorTest : public ::testing::TestWithParam<std::string> {
   Digest msg_ = Sha256::hash("statement");
 
   [[nodiscard]] AuthView view() const { return AuthView(auth_.get()); }
+
+  /// A genuine aggregate over `message` by signers 0..m-1.
+  [[nodiscard]] ThresholdSig aggregate_of(std::uint32_t m, const Digest& message) const {
+    QuorumAggregator agg(view(), message, m);
+    for (ProcessId id = 0; id < m; ++id) agg.add(threshold_share(auth_->signer_for(id), message));
+    return agg.aggregate();
+  }
+
+  [[nodiscard]] CheckMemo::Hit probe(const ThresholdSig& sig) const {
+    return auth_->memo().lookup(sig, kNoProcess);
+  }
 };
 
 TEST_P(AuthenticatorTest, SignVerifyRoundTrip) {
@@ -146,34 +158,99 @@ TEST_P(AuthenticatorTest, WireSizesFollowTheSchemeSpec) {
   EXPECT_EQ(ts.wire_size(), kKappaBytes + spec.tag_bytes(3));
 }
 
-TEST_P(AuthenticatorTest, MemoSkipsNothingSemantically) {
-  // A memo pre-loaded by a (simulated) pipeline worker changes cost, not
-  // outcomes: valid claims pass with or without it, and a claim absent
-  // from the memo still verifies inline.
-  VerifyMemo memo;
-  const AuthView memoized(auth_.get(), &memo);
-  const PartialSig share = threshold_share(auth_->signer_for(2), msg_);
-  EXPECT_TRUE(memoized.verify_share(msg_, share));
-  memo.remember(share_fingerprint(msg_, share));
-  EXPECT_TRUE(memoized.verify_share(msg_, share));
+TEST_P(AuthenticatorTest, MemoAcceptsOnlyTheExactVerifiedAggregate) {
+  const ThresholdSig sig = aggregate_of(3, msg_);
+  ASSERT_TRUE(view().verify_aggregate(sig, 3));
+  ASSERT_EQ(probe(sig), CheckMemo::Hit::kVerified);
+  EXPECT_TRUE(view().verify_aggregate(sig, 3)) << "memo hit must still accept";
 
-  // Tampered share: its fingerprint is not in the memo, so the inline
-  // check still rejects it.
-  PartialSig bad = share;
-  bad.signer = 3;
-  EXPECT_FALSE(memoized.verify_share(msg_, bad));
+  // A flipped tag byte — first and last, so ed25519's hashed long tag is
+  // covered as well as HMAC's inline one.
+  for (const std::size_t byte : {std::size_t{0}, sig.tag.size() - 1}) {
+    ThresholdSig flipped = sig;
+    flipped.tag.data()[byte] ^= 0x01;
+    EXPECT_EQ(probe(flipped), CheckMemo::Hit::kMiss) << "byte " << byte;
+    EXPECT_FALSE(view().verify_aggregate(flipped, 3)) << "byte " << byte;
+  }
+
+  // The same tag under a different signer set of the same size.
+  ThresholdSig resigned = sig;
+  resigned.signers = SignerSet(kN);
+  for (const ProcessId id : {0U, 1U, 3U}) resigned.signers.add(id);
+  EXPECT_EQ(probe(resigned), CheckMemo::Hit::kMiss);
+  EXPECT_FALSE(view().verify_aggregate(resigned, 3));
+
+  // The same tag and signers over a different message.
+  ThresholdSig moved = sig;
+  moved.message = Sha256::hash("other statement");
+  EXPECT_EQ(probe(moved), CheckMemo::Hit::kMiss);
+  EXPECT_FALSE(view().verify_aggregate(moved, 3));
+
+  EXPECT_EQ(auth_->memo().size(), 1U) << "only the genuine claim is stored";
+}
+
+TEST_P(AuthenticatorTest, MemoAcceptsOnlyTheExactStoredShare) {
+  // Shares are stored by pipeline workers after a full check.
+  const PartialSig share = threshold_share(auth_->signer_for(2), msg_);
+  ASSERT_TRUE(auth_->check_share(msg_, share));
+  auth_->memo().insert(msg_, share);
+  EXPECT_TRUE(auth_->memo().contains(msg_, share));
+  EXPECT_TRUE(view().verify_share(msg_, share));
+
+  PartialSig flipped = share;
+  flipped.sig.data()[share.sig.size() - 1] ^= 0x01;
+  EXPECT_FALSE(auth_->memo().contains(msg_, flipped));
+  EXPECT_FALSE(view().verify_share(msg_, flipped));
+  PartialSig reattributed = share;
+  reattributed.signer = 3;
+  EXPECT_FALSE(auth_->memo().contains(msg_, reattributed));
+  EXPECT_FALSE(view().verify_share(msg_, reattributed));
+  EXPECT_FALSE(auth_->memo().contains(Sha256::hash("other statement"), share));
+  EXPECT_FALSE(view().verify_share(Sha256::hash("other statement"), share));
+}
+
+TEST_P(AuthenticatorTest, FailedChecksAreNeverStored) {
+  ThresholdSig forged = aggregate_of(3, msg_);
+  forged.tag = SigBytes::zeros(forged.tag.size());
+  EXPECT_FALSE(view().verify_aggregate(forged, 3));
+  EXPECT_FALSE(view().verify_aggregate(forged, 3)) << "a repeat must be re-checked, not remembered";
+  EXPECT_EQ(probe(forged), CheckMemo::Hit::kMiss);
+
+  // A genuine aggregate asked below its threshold is rejected before the
+  // scheme runs, and so is not stored either.
+  const ThresholdSig genuine = aggregate_of(3, msg_);
+  EXPECT_FALSE(view().verify_aggregate(genuine, 4));
+  EXPECT_EQ(probe(genuine), CheckMemo::Hit::kMiss);
+
+  PartialSig bogus = threshold_share(auth_->signer_for(0), msg_);
+  bogus.signer = 1;
+  EXPECT_FALSE(view().verify_share(msg_, bogus));
+  EXPECT_EQ(auth_->memo().size(), 0U);
 }
 
 TEST_P(AuthenticatorTest, MemoizedAggregateStillChecksThreshold) {
-  VerifyMemo memo;
-  const AuthView memoized(auth_.get(), &memo);
-  QuorumAggregator agg(view(), msg_, 3);
-  for (ProcessId id = 0; id < 3; ++id) agg.add(threshold_share(auth_->signer_for(id), msg_));
-  const ThresholdSig sig = agg.aggregate();
-  memo.remember(aggregate_fingerprint(sig));
-  EXPECT_TRUE(memoized.verify_aggregate(sig, 3));
+  const ThresholdSig sig = aggregate_of(3, msg_);
+  EXPECT_TRUE(view().verify_aggregate(sig, 3));
+  ASSERT_EQ(probe(sig), CheckMemo::Hit::kVerified);
   // The threshold check is never memoized away.
-  EXPECT_FALSE(memoized.verify_aggregate(sig, 4));
+  EXPECT_FALSE(view().verify_aggregate(sig, 4));
+}
+
+TEST_P(AuthenticatorTest, RepeatByTheSameReplicaIsNotRecounted) {
+  AuthOpCounters a_ops;
+  AuthOpCounters b_ops;
+  const AuthView a(auth_.get(), &a_ops, /*node=*/0);
+  const AuthView b(auth_.get(), &b_ops, /*node=*/1);
+  const ThresholdSig sig = aggregate_of(3, msg_);
+  EXPECT_TRUE(a.verify_aggregate(sig, 3));
+  EXPECT_TRUE(b.verify_aggregate(sig, 3));
+  EXPECT_TRUE(b.verify_aggregate(sig, 3));
+  EXPECT_TRUE(a.verify_aggregate(sig, 3));
+  EXPECT_EQ(a_ops.snapshot().aggregate_verifies, 1U);
+  EXPECT_EQ(b_ops.snapshot().aggregate_verifies, 1U);
+  // A rejection is always counted, repeat or not.
+  EXPECT_FALSE(b.verify_aggregate(sig, 4));
+  EXPECT_EQ(b_ops.snapshot().aggregate_verifies, 2U);
 }
 
 /// Property sweep: any f+1 / 2f+1 subset aggregates and verifies.
@@ -219,15 +296,30 @@ TEST(AuthenticatorRegistryTest, UnknownSchemeThrowsListingKnownOnes) {
   }
 }
 
-TEST(VerifyMemoTest, BoundedAndClearsWhenFull) {
-  VerifyMemo memo(/*max_entries=*/4);
-  for (int i = 0; i < 4; ++i) memo.remember(Sha256::hash(std::to_string(i)));
-  EXPECT_EQ(memo.size(), 4U);
-  EXPECT_TRUE(memo.contains(Sha256::hash("0")));
-  memo.remember(Sha256::hash("overflow"));  // full -> cleared, then inserted
-  EXPECT_EQ(memo.size(), 1U);
-  EXPECT_FALSE(memo.contains(Sha256::hash("0")));
-  EXPECT_TRUE(memo.contains(Sha256::hash("overflow")));
+TEST(CheckMemoTest, SprayPastCapacityStaysBounded) {
+  // Twice the capacity of valid, distinct aggregates: the memo stays at
+  // its bound, evicting the oldest claims of each set, and the newest
+  // claims stay answerable.
+  const auto auth = make_authenticator(kDefaultScheme, 4, 11);
+  const AuthView view(auth.get());
+  std::vector<ThresholdSig> sprayed;
+  for (std::size_t i = 0; i < 2 * CheckMemo::kSlots; ++i) {
+    const Digest message = Sha256::hash("spray " + std::to_string(i));
+    QuorumAggregator agg(view, message, 1);
+    agg.add(threshold_share(auth->signer_for(0), message));
+    sprayed.push_back(agg.aggregate());
+    ASSERT_TRUE(view.verify_aggregate(sprayed.back(), 1));
+    ASSERT_LE(auth->memo().size(), CheckMemo::kSlots);
+  }
+  EXPECT_GT(auth->memo().size(), CheckMemo::kSlots / 2);
+  EXPECT_EQ(auth->memo().lookup(sprayed.back(), kNoProcess), CheckMemo::Hit::kVerified);
+  std::size_t evicted = 0;
+  for (std::size_t i = 0; i < 64; ++i) {
+    if (auth->memo().lookup(sprayed[i], kNoProcess) == CheckMemo::Hit::kMiss) ++evicted;
+  }
+  EXPECT_GT(evicted, 32U) << "the oldest claims should have been evicted";
+  // An evicted claim is re-checked and accepted, never rejected.
+  EXPECT_TRUE(view.verify_aggregate(sprayed.front(), 1));
 }
 
 }  // namespace

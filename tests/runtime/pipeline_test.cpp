@@ -1,15 +1,21 @@
 // VerifyPipeline unit tests: the staged decode+verify worker pool in
 // isolation — claims memoized only when they pass, malformed frames
 // dropped, bounded-queue backpressure, and stop()/start() as the fault
-// schedule uses them. The full-stack path is tests/transport/
-// tcp_pipeline_test.cpp.
+// schedule uses them — plus the shared CheckMemo under concurrent
+// replicas and workers (this suite runs under TSan in CI). The
+// full-stack path is tests/transport/tcp_pipeline_test.cpp.
 #include "runtime/pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "consensus/messages.h"
 #include "crypto/authenticator.h"
@@ -54,7 +60,7 @@ class PipelineTest : public ::testing::Test {
   std::unique_ptr<crypto::Authenticator> auth_;
 };
 
-TEST_F(PipelineTest, ValidClaimsComeBackFingerprinted) {
+TEST_F(PipelineTest, ValidClaimsLandInTheSharedMemo) {
   VerifyPipeline pipeline(auth_.get(), codec(), PipelineSpec{true, 2, 64});
   pipeline.start();
   const auto frame = view_msg_frame(/*signer=*/1, /*v=*/3);
@@ -65,12 +71,11 @@ TEST_F(PipelineTest, ValidClaimsComeBackFingerprinted) {
   EXPECT_EQ(results[0].from, 2U);
   ASSERT_NE(results[0].msg, nullptr);
   EXPECT_EQ(results[0].msg->type_id(), pacemaker::kViewMsg);
-  // The share the frame carries verified, so its fingerprint is reported
-  // (this is what the driver thread feeds the node's VerifyMemo).
+  // The share the frame carries verified, so the worker stored it in the
+  // authenticator's memo before handing the message over: the core's
+  // inline check of it is a lookup.
   const auto& vm = static_cast<const pacemaker::ViewMsg&>(*results[0].msg);
-  ASSERT_EQ(results[0].fingerprints.size(), 1U);
-  EXPECT_EQ(results[0].fingerprints[0],
-            crypto::share_fingerprint(pacemaker::view_msg_statement(3), vm.share()));
+  EXPECT_TRUE(auth_->memo().contains(pacemaker::view_msg_statement(3), vm.share()));
 
   const auto stats = pipeline.stats();
   EXPECT_EQ(stats.frames_in, 1U);
@@ -82,8 +87,8 @@ TEST_F(PipelineTest, ValidClaimsComeBackFingerprinted) {
 
 TEST_F(PipelineTest, FailedClaimsAreNotMemoized) {
   // A message whose signature does not verify still comes out of the
-  // pipeline (the core makes the accept/reject call) but with no
-  // fingerprint — the memo never whitelists a bad claim.
+  // pipeline (the core makes the accept/reject call) but nothing enters
+  // the memo — it never whitelists a bad claim.
   VerifyPipeline pipeline(auth_.get(), codec(), PipelineSpec{true, 1, 64});
   pipeline.start();
   pacemaker::ViewMsg forged(
@@ -93,7 +98,8 @@ TEST_F(PipelineTest, FailedClaimsAreNotMemoized) {
   std::vector<VerifyPipeline::Result> results;
   ASSERT_EQ(drain_until(pipeline, 1, [&](auto&& r) { results.push_back(std::move(r)); }), 1U);
   ASSERT_NE(results[0].msg, nullptr);
-  EXPECT_TRUE(results[0].fingerprints.empty());
+  EXPECT_FALSE(auth_->memo().contains(pacemaker::view_msg_statement(7), forged.share()));
+  EXPECT_EQ(auth_->memo().size(), 0U);
   const auto stats = pipeline.stats();
   EXPECT_EQ(stats.claims_checked, 1U);
   EXPECT_EQ(stats.claims_passed, 0U);
@@ -192,6 +198,69 @@ TEST_F(PipelineTest, StopStartCycleSurvivesQueuedFrames) {
   const auto stats = pipeline.stats();
   EXPECT_EQ(stats.frames_in, 48U);
   EXPECT_LE(stats.frames_out, stats.frames_in);
+}
+
+TEST(CheckMemoConcurrencyTest, ReplicasAndWorkersShareOneMemo) {
+  // The in-process TCP shape: replica driver threads look claims up and
+  // insert them while pipeline workers insert the same claims, all in
+  // one authenticator's memo. Every genuine claim is accepted, and each
+  // replica counts each aggregate exactly once however many times, and
+  // in whatever interleaving, it asks.
+  constexpr std::uint32_t kN = 4;
+  constexpr int kClaims = 96;
+  constexpr int kRounds = 3;
+  const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, kN, 21);
+  std::vector<crypto::ThresholdSig> sigs;
+  std::vector<std::pair<crypto::Digest, crypto::PartialSig>> shares;
+  for (int i = 0; i < kClaims; ++i) {
+    const crypto::Digest message = crypto::Sha256::hash("claim " + std::to_string(i));
+    crypto::QuorumAggregator agg(crypto::AuthView(auth.get()), message, 3);
+    for (ProcessId id = 0; id < 3; ++id) {
+      agg.add(crypto::threshold_share(auth->signer_for(id), message));
+    }
+    sigs.push_back(agg.aggregate());
+    shares.emplace_back(message, crypto::threshold_share(auth->signer_for(3), message));
+  }
+
+  std::array<crypto::AuthOpCounters, kN> ops;
+  std::atomic<int> rejected{0};
+  std::vector<std::thread> threads;
+  for (ProcessId node = 0; node < kN; ++node) {
+    threads.emplace_back([&, node] {
+      const crypto::AuthView view(auth.get(), &ops[node], node);
+      for (int round = 0; round < kRounds; ++round) {
+        for (int k = 0; k < kClaims; ++k) {
+          const int i = (k * 7 + static_cast<int>(node) * 13 + round) % kClaims;
+          if (!view.verify_aggregate(sigs[i], 3)) rejected.fetch_add(1);
+          if (!view.verify_share(shares[i].first, shares[i].second)) rejected.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int worker = 0; worker < 2; ++worker) {
+    threads.emplace_back([&, worker] {
+      const crypto::AuthView view(auth.get());
+      for (int k = 0; k < kClaims; ++k) {
+        const int i = worker == 0 ? k : kClaims - 1 - k;
+        if (!view.verify_aggregate(sigs[i], 1)) rejected.fetch_add(1);
+        if (!auth->check_share(shares[i].first, shares[i].second)) rejected.fetch_add(1);
+        auth->memo().insert(shares[i].first, shares[i].second);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(rejected.load(), 0);
+  for (ProcessId node = 0; node < kN; ++node) {
+    const crypto::AuthOpSnapshot snap = ops[node].snapshot();
+    EXPECT_EQ(snap.aggregate_verifies, static_cast<std::uint64_t>(kClaims)) << "node " << node;
+    EXPECT_EQ(snap.share_verifies, static_cast<std::uint64_t>(kClaims * kRounds))
+        << "node " << node;
+  }
+  EXPECT_EQ(auth->memo().size(), static_cast<std::size_t>(2 * kClaims));
+  for (int i = 0; i < kClaims; ++i) {
+    EXPECT_TRUE(auth->memo().contains(shares[i].first, shares[i].second));
+  }
 }
 
 }  // namespace
