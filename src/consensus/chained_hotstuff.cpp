@@ -4,10 +4,12 @@
 
 namespace lumiere::consensus {
 
-ChainedHotStuff::ChainedHotStuff(const ProtocolParams& params, crypto::AuthView auth,
-                                 crypto::Signer signer, CoreCallbacks callbacks,
-                                 PacemakerHooks hooks, PayloadProvider payload_provider)
-    : params_(params),
+ChainedHotStuff::ChainedHotStuff(ChainRule rule, const ProtocolParams& params,
+                                 crypto::AuthView auth, crypto::Signer signer,
+                                 CoreCallbacks callbacks, PacemakerHooks hooks,
+                                 PayloadProvider payload_provider)
+    : rule_(rule),
+      params_(params),
       auth_(auth),
       signer_(signer),
       cb_(std::move(callbacks)),
@@ -26,7 +28,18 @@ void ChainedHotStuff::on_enter_view(View v) {
   pending_proposals_.erase(pending_proposals_.begin(), pending_proposals_.lower_bound(v));
   // Report the highest QC to the new leader so its proposal extends at
   // least one QC held by every 2f+1 quorum (liveness after view change).
+  // Under the two-chain rule this is also how the leader learns QC(v-1)
+  // for the responsive path, or the highest honest lock during the
+  // Delta fallback.
   cb_.send(hooks_.leader_of(v), std::make_shared<NewViewMsg>(v, high_qc_));
+  if (rule_ == ChainRule::kTwoChain && hooks_.leader_of(v) == signer_.id() && cb_.schedule) {
+    // Arm the fallback: without a QC for v-1 in hand, wait Delta so the
+    // highest locked honest replica's NewView can arrive (post-GST).
+    cb_.schedule(params_.delta_cap, [this, v] {
+      fallback_elapsed_.insert(v);
+      maybe_propose();
+    });
+  }
   maybe_propose();
   maybe_vote();
 }
@@ -35,13 +48,15 @@ void ChainedHotStuff::handle_new_view(ProcessId from, const NewViewMsg& msg) {
   const View v = msg.view();
   if (hooks_.leader_of(v) != signer_.id()) return;
   if (v < cur_view_) return;  // stale
-  if (msg.high_qc().verify(auth_, params_)) {
-    process_qc(msg.high_qc());
+  const bool valid = msg.high_qc().verify(auth_, params_);
+  if (valid) process_qc(msg.high_qc());
+  if (rule_ == ChainRule::kThreeChain) {
+    // Every sender counts toward the 2f+1 gate, valid QC or not.
+    new_view_senders_.try_emplace(v, params_.n).first->second.add(from);
   }
-  auto [it, inserted] = new_view_senders_.try_emplace(v, SignerSet(params_.n));
-  (void)inserted;
-  it->second.add(from);
-  maybe_propose();
+  // Three-chain re-checks its gate on every report, two-chain only when
+  // a verified QC may have opened the responsive path.
+  if (valid || rule_ == ChainRule::kThreeChain) maybe_propose();
 }
 
 void ChainedHotStuff::on_propose_allowed(View /*v*/) { maybe_propose(); }
@@ -52,8 +67,17 @@ void ChainedHotStuff::maybe_propose() {
   if (hooks_.leader_of(v) != signer_.id()) return;
   if (proposed_.contains(v)) return;
   if (hooks_.may_propose && !hooks_.may_propose(v)) return;
-  const auto it = new_view_senders_.find(v);
-  if (it == new_view_senders_.end() || it->second.count() < params_.quorum()) return;
+  if (rule_ == ChainRule::kThreeChain) {
+    const auto it = new_view_senders_.find(v);
+    if (it == new_view_senders_.end() || it->second.count() < params_.quorum()) return;
+  } else {
+    // Dual proposal path. The genesis QC (view -1) certifies view 0's
+    // parent, so view 0 is responsive by construction.
+    const bool responsive = high_qc_.view() == v - 1;
+    const bool fallback = fallback_elapsed_.contains(v) || cb_.schedule == nullptr;
+    if (!responsive && !fallback) return;
+    responsive ? ++responsive_proposals_ : ++fallback_proposals_;
+  }
 
   proposed_.insert(v);
   std::vector<std::uint8_t> payload;
@@ -61,16 +85,26 @@ void ChainedHotStuff::maybe_propose() {
   Block block(high_qc_.block_hash(), v, std::move(payload), high_qc_);
   my_proposal_hash_[v] = block.hash();
   store_.insert(block);
-  LOG_TRACE("p" << signer_.id() << " HS-proposes view " << v);
+  LOG_TRACE("p" << signer_.id() << " proposes view " << v);
   cb_.broadcast(std::make_shared<ProposalMsg>(std::move(block)));
 }
 
 bool ChainedHotStuff::safe_to_vote(const Block& block) const {
   if (block.view() <= last_voted_view_) return false;
-  // safeNode: extends the locked block, or carries a newer justify than
-  // our lock (the standard HotStuff disjunction).
-  if (block.justify().view() > locked_qc_.view()) return true;
-  return store_.extends(block.hash(), locked_qc_.block_hash());
+  if (rule_ == ChainRule::kThreeChain) {
+    // safeNode: extends the locked block, or carries a newer justify than
+    // our lock (the standard HotStuff disjunction).
+    if (block.justify().view() > locked_qc_.view()) return true;
+    return store_.extends(block.hash(), locked_qc_.block_hash());
+  }
+  // Two-phase structural rule: the proposal must extend exactly the block
+  // its justify certifies — a Byzantine leader pairing an old QC with an
+  // unrelated parent must not collect votes.
+  if (block.parent() != block.justify().block_hash()) return false;
+  // Two-phase safeNode: the justify must be at least as new as our lock.
+  // (>= rather than >: the lock itself may be re-proposed under the same
+  // justify after a failed view — the Jolteon/HotStuff-2 disjunction.)
+  return block.justify().view() >= locked_qc_.view();
 }
 
 void ChainedHotStuff::maybe_vote() {
@@ -145,10 +179,19 @@ void ChainedHotStuff::handle_vote(ProcessId /*from*/, const VoteMsg& msg) {
 void ChainedHotStuff::handle_qc_msg(const QcMsg& msg) {
   if (!msg.qc().verify(auth_, params_)) return;
   process_qc(msg.qc());
+  // Two-chain: the QC may have just opened the responsive path for a
+  // view this node already entered (QC(v-1) arriving after the view
+  // change).
+  if (rule_ == ChainRule::kTwoChain) maybe_propose();
 }
 
 void ChainedHotStuff::process_qc(const QuorumCert& qc) {
   if (qc.view() > high_qc_.view()) high_qc_ = qc;
+  // Two-chain 1-chain lock: any newer certified block becomes the lock
+  // directly. It is taken before qc_seen, the three-chain lock after:
+  // qc_seen can re-enter this core through the pacemaker, so the order
+  // is part of each rule's behaviour.
+  if (rule_ == ChainRule::kTwoChain && qc.view() > locked_qc_.view()) locked_qc_ = qc;
   const bool fresh = !seen_qc_views_.contains(qc.view());
   if (fresh) {
     seen_qc_views_.insert(qc.view());
@@ -159,8 +202,17 @@ void ChainedHotStuff::process_qc(const QuorumCert& qc) {
   const auto b0 = store_.get(qc.block_hash());
   if (b0 == nullptr) return;
   const QuorumCert& qc1 = b0->justify();
-  // 2-chain lock: qc -> b0 --parent--> b1 certified by qc1.
+  // qc -> b0 --parent--> b1 certified by qc1.
   if (b0->parent() != qc1.block_hash()) return;
+  if (rule_ == ChainRule::kTwoChain) {
+    // 2-chain commit with consecutive views.
+    if (qc.view() == qc1.view() + 1) {
+      const auto b1 = store_.get(qc1.block_hash());
+      if (b1 != nullptr && b1->view() > last_committed_view_) commit_chain(*b1);
+    }
+    return;
+  }
+  // 2-chain lock.
   if (qc1.view() > locked_qc_.view()) locked_qc_ = qc1;
 
   const auto b1 = store_.get(qc1.block_hash());
@@ -202,10 +254,10 @@ void ChainedHotStuff::commit_chain(const Block& tip) {
       cb_.fetch_missing(sync_missing_);
       return;
     }
-    const bool adoptable = checkpoint_adoption_ && current == nullptr && !chain.empty() &&
+    const bool adoptable = cb_.adopt_base && current == nullptr && !chain.empty() &&
                            last_committed_view_ == Block::genesis().view();
     if (!adoptable) return;
-    if (cb_.adopt_base) cb_.adopt_base(*chain.back());
+    cb_.adopt_base(*chain.back());
   }
   sync_pending_ = false;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {

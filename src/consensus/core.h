@@ -43,7 +43,8 @@ struct CoreCallbacks {
   /// about to make `base` its first decided block even though base's
   /// parent is outside this node's history — base is a certified
   /// checkpoint, the ledger becomes a committed suffix of the chain.
-  /// Fired once, immediately before decided(base).
+  /// Fired once, immediately before decided(base). Null (the default)
+  /// disables adoption: the commit walk waits on the missing ancestor.
   std::function<void(const Block& base)> adopt_base;
   /// Vote gate over a proposal's payload. Null means every payload is
   /// acceptable (the legacy inline-batch mode); with the dissemination

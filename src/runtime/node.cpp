@@ -103,11 +103,13 @@ void Node::build_core(const NodeConfig& config) {
     if (observers_.on_qc_formed) observers_.on_qc_formed(sim_->now(), qc.view(), id_);
   };
   callbacks.qc_seen = [this](const consensus::QuorumCert& qc) { pacemaker_->on_qc(qc); };
-  callbacks.adopt_base = [this](const consensus::Block& base) {
+  if (config.protocol.checkpoint_adoption) {
     // Checkpoint adoption (crash recovery): the first decided block will
     // extend `base`'s parent rather than genesis.
-    ledger_.adopt_base(base.parent());
-  };
+    callbacks.adopt_base = [this](const consensus::Block& base) {
+      ledger_.adopt_base(base.parent());
+    };
+  }
   callbacks.decided = [this](const consensus::Block& block) {
     ledger_.commit(block, sim_->now());
     // Resolve committed references into delivered batches (the dissem

@@ -1,7 +1,5 @@
-// HotStuff-2 (two-phase) core: commit/lock rules, the dual proposal path
+// HotStuff-2 (ChainedHotStuff under the two-chain rule): commit/lock rules, the dual proposal path
 // (responsive vs Delta-fallback), and safety of the two-phase vote rule.
-#include "consensus/hotstuff2.h"
-
 #include <gtest/gtest.h>
 
 #include "consensus/chained_hotstuff.h"
@@ -10,11 +8,11 @@
 namespace lumiere::consensus {
 namespace {
 
-using Harness = testutil::CoreHarness<HotStuff2>;
-using Chained3Harness = testutil::CoreHarness<ChainedHotStuff>;
+using Harness = testutil::CoreHarness<ChainedHotStuff>;
+constexpr ChainRule kRule = ChainRule::kTwoChain;
 
 TEST(HotStuff2Test, ViewsProduceQcs) {
-  Harness h(4);
+  Harness h(kRule, 4);
   h.enter_view_all(0);
   EXPECT_TRUE(h.all_saw_qc(0));
 }
@@ -23,14 +21,14 @@ TEST(HotStuff2Test, TwoChainCommitsOneViewEarlierThanThreeChain) {
   // After views 0 and 1 complete, the QC for view 1 certifies block(1)
   // whose justify certifies block(0) at the consecutive view 0: HotStuff-2
   // commits block(0). The 3-chain rule still has nothing to commit.
-  Harness h2(4);
+  Harness h2(kRule, 4);
   h2.enter_view_all(0);
   h2.enter_view_all(1);
   for (ProcessId id = 0; id < 4; ++id) {
     EXPECT_GE(h2.node(id).committed.size(), 1U) << "HS2 node " << id;
   }
 
-  Chained3Harness h3(4);
+  Harness h3(ChainRule::kThreeChain, 4);
   h3.enter_view_all(0);
   h3.enter_view_all(1);
   for (ProcessId id = 0; id < 4; ++id) {
@@ -39,8 +37,8 @@ TEST(HotStuff2Test, TwoChainCommitsOneViewEarlierThanThreeChain) {
 }
 
 TEST(HotStuff2Test, CommitFrontierLeadsThreeChainByOneView) {
-  Harness h2(4);
-  Chained3Harness h3(4);
+  Harness h2(kRule, 4);
+  Harness h3(ChainRule::kThreeChain, 4);
   for (View v = 0; v <= 10; ++v) {
     h2.enter_view_all(v);
     h3.enter_view_all(v);
@@ -50,7 +48,7 @@ TEST(HotStuff2Test, CommitFrontierLeadsThreeChainByOneView) {
 }
 
 TEST(HotStuff2Test, LedgersPrefixConsistent) {
-  Harness h(7);
+  Harness h(kRule, 7);
   for (View v = 0; v <= 12; ++v) h.enter_view_all(v);
   const auto& reference = h.node(0).committed;
   ASSERT_FALSE(reference.empty());
@@ -66,8 +64,8 @@ TEST(HotStuff2Test, LedgersPrefixConsistent) {
 TEST(HotStuff2Test, LockIsOneChain) {
   // HotStuff-2 locks directly on any newer observed QC; the 3-phase
   // protocol lags one chain link behind.
-  Harness h2(4);
-  Chained3Harness h3(4);
+  Harness h2(kRule, 4);
+  Harness h3(ChainRule::kThreeChain, 4);
   h2.enter_view_all(0);
   h3.enter_view_all(0);
   EXPECT_EQ(h2.core(1).locked_qc().view(), 0);
@@ -79,7 +77,7 @@ TEST(HotStuff2Test, LockIsOneChain) {
 }
 
 TEST(HotStuff2Test, NoCommitWithoutConsecutiveViews) {
-  Harness h(4);
+  Harness h(kRule, 4);
   // Even-only views: every justify gap is 2, so the 2-chain consecutive
   // rule never fires.
   for (View v = 0; v <= 8; v += 2) h.enter_view_all(v);
@@ -90,7 +88,7 @@ TEST(HotStuff2Test, NoCommitWithoutConsecutiveViews) {
 }
 
 TEST(HotStuff2Test, GapInViewsResumesCommitting) {
-  Harness h(4);
+  Harness h(kRule, 4);
   h.enter_view_all(0);
   h.enter_view_all(1);
   h.enter_view_all(3);  // view 2 skipped
@@ -103,7 +101,7 @@ TEST(HotStuff2Test, GapInViewsResumesCommitting) {
 }
 
 TEST(HotStuff2Test, SteadyStateProposalsAreAllResponsive) {
-  Harness h(4);
+  Harness h(kRule, 4);
   for (View v = 0; v <= 10; ++v) h.enter_view_all(v);
   std::uint64_t responsive = 0;
   std::uint64_t fallback = 0;
@@ -118,7 +116,7 @@ TEST(HotStuff2Test, SteadyStateProposalsAreAllResponsive) {
 }
 
 TEST(HotStuff2Test, FallbackProposalWaitsDeltaAfterFailedView) {
-  Harness h(4);
+  Harness h(kRule, 4);
   h.enter_view_all(0);
   h.enter_view_all(1);
   // View 2 fails entirely (nobody enters it). Everyone then moves to
@@ -134,7 +132,7 @@ TEST(HotStuff2Test, FallbackProposalWaitsDeltaAfterFailedView) {
 }
 
 TEST(HotStuff2Test, ParentJustifyMismatchGetsNoVotes) {
-  Harness h(4);
+  Harness h(kRule, 4);
   for (View v = 0; v <= 2; ++v) h.enter_view_all(v);
   ASSERT_TRUE(h.all_saw_qc(2));
   // Byzantine leader of view 3 pairs a perfectly valid QC with an
@@ -159,7 +157,7 @@ TEST(HotStuff2Test, ParentJustifyMismatchGetsNoVotes) {
 }
 
 TEST(HotStuff2Test, StaleJustifyCannotOverrideLock) {
-  Harness h(4);
+  Harness h(kRule, 4);
   for (View v = 0; v <= 4; ++v) h.enter_view_all(v);
   ASSERT_GE(h.core(2).locked_qc().view(), 3);
   // A proposal extending genesis is structurally fine (parent matches its
@@ -177,7 +175,7 @@ TEST(HotStuff2Test, StaleJustifyCannotOverrideLock) {
 TEST(HotStuff2Test, ReProposalUnderSameJustifyIsVotable) {
   // The >= in the vote rule: after a failed view, the new leader may
   // re-extend the same justify the lock points to.
-  Harness h(4);
+  Harness h(kRule, 4);
   h.enter_view_all(0);
   h.enter_view_all(1);  // lock is now QC(1) everywhere
   // View 2 fails; view 3's leader re-extends QC(1). justify.view == lock.
@@ -190,7 +188,7 @@ TEST(HotStuff2Test, ReProposalUnderSameJustifyIsVotable) {
 class HotStuff2Sweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(HotStuff2Sweep, CommitsAcrossSizes) {
-  Harness h(GetParam());
+  Harness h(kRule, GetParam());
   for (View v = 0; v <= 6; ++v) h.enter_view_all(v);
   for (ProcessId id = 0; id < GetParam(); ++id) {
     EXPECT_GE(h.node(id).committed.size(), 4U);

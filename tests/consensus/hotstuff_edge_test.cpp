@@ -1,5 +1,8 @@
-// Chained HotStuff edge cases beyond the happy path.
+// Chained HotStuff edge cases beyond the happy path, under both chain
+// rules.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "consensus/chained_hotstuff.h"
 #include "testutil/core_harness.h"
@@ -9,8 +12,10 @@ namespace {
 
 using Harness = testutil::CoreHarness<ChainedHotStuff>;
 
-TEST(HotStuffEdgeTest, DuplicateVotesCannotInflateQuorum) {
-  Harness h(4);
+class HotStuffEdgeTest : public ::testing::TestWithParam<ChainRule> {};
+
+TEST_P(HotStuffEdgeTest, DuplicateVotesCannotInflateQuorum) {
+  Harness h(GetParam(), 4);
   // Run view 0 normally; then replay node 1's vote at the leader — the
   // aggregator must reject the duplicate share, so nothing changes.
   h.enter_view_all(0);
@@ -22,8 +27,8 @@ TEST(HotStuffEdgeTest, DuplicateVotesCannotInflateQuorum) {
   EXPECT_EQ(h.node(0).qcs_formed.size(), qcs_before);
 }
 
-TEST(HotStuffEdgeTest, LateProposalForPastViewIgnored) {
-  Harness h(4);
+TEST_P(HotStuffEdgeTest, LateProposalForPastViewIgnored) {
+  Harness h(GetParam(), 4);
   h.enter_view_all(0);
   h.enter_view_all(1);
   h.enter_view_all(2);
@@ -35,8 +40,8 @@ TEST(HotStuffEdgeTest, LateProposalForPastViewIgnored) {
   EXPECT_EQ(h.core(1).current_view(), 2);
 }
 
-TEST(HotStuffEdgeTest, HighQcAdoptedFromNewViewMessages) {
-  Harness h(4);
+TEST_P(HotStuffEdgeTest, HighQcAdoptedFromNewViewMessages) {
+  Harness h(GetParam(), 4);
   for (View v = 0; v <= 2; ++v) h.enter_view_all(v);
   // All cores know the QC for view 2 (or at least view 1) by now; a new
   // leader (view 3 -> p3) must propose extending the highest known QC.
@@ -47,8 +52,8 @@ TEST(HotStuffEdgeTest, HighQcAdoptedFromNewViewMessages) {
   EXPECT_GE(h.core(0).last_committed_view(), 1);
 }
 
-TEST(HotStuffEdgeTest, JustifyQcInsideProposalPropagatesState) {
-  Harness h(4);
+TEST_P(HotStuffEdgeTest, JustifyQcInsideProposalPropagatesState) {
+  Harness h(GetParam(), 4);
   h.enter_view_all(0);
   // Node 3 misses the QC broadcast for view 0 (we can't drop messages in
   // this harness, so emulate: a fresh harness node entering late still
@@ -59,19 +64,19 @@ TEST(HotStuffEdgeTest, JustifyQcInsideProposalPropagatesState) {
   }
 }
 
-TEST(HotStuffEdgeTest, NoCommitWithoutConsecutiveViews) {
-  Harness h(4);
+TEST_P(HotStuffEdgeTest, NoCommitWithoutConsecutiveViews) {
+  Harness h(GetParam(), 4);
   // Alternate view entries so no three *consecutive* views ever form:
   // 0, 2, 4, 6 — every justify gap is 2.
   for (View v = 0; v <= 8; v += 2) h.enter_view_all(v);
   for (ProcessId id = 0; id < 4; ++id) {
     EXPECT_TRUE(h.node(id).committed.empty())
-        << "3-chain commit requires consecutive views";
+        << "commit requires consecutive views";
   }
 }
 
-TEST(HotStuffEdgeTest, LocksAdvanceMonotonically) {
-  Harness h(4);
+TEST_P(HotStuffEdgeTest, LocksAdvanceMonotonically) {
+  Harness h(GetParam(), 4);
   View last_lock = -1;
   for (View v = 0; v <= 8; ++v) {
     h.enter_view_all(v);
@@ -80,6 +85,53 @@ TEST(HotStuffEdgeTest, LocksAdvanceMonotonically) {
   }
   EXPECT_GT(last_lock, 0);
 }
+
+/// The late-block gate. View 1's leader p1 equivocates: replica p3 has
+/// already moved on to view 2 when a losing variant reaches it, and only
+/// then the certified winner. The gate admits up to
+/// kMaxStaleBlocksPerView distinct late blocks per view, so the winner
+/// still enters p3's store and p3 commits it; a fifth variant is refused.
+TEST_P(HotStuffEdgeTest, LateBlockGateKeepsTheCertifiedWinner) {
+  Harness h(GetParam(), 4);
+  h.enter_view_all(0);
+  const QuorumCert qc0 = h.core(3).high_qc();
+  ASSERT_EQ(qc0.view(), 0);
+  h.enter_view(3, 2);
+  h.settle();
+
+  const auto send_variant = [&](std::uint8_t tag) {
+    Block variant(qc0.block_hash(), 1, {tag}, qc0);
+    h.network().send(1, 3, std::make_shared<ProposalMsg>(variant));
+    h.settle();
+    return variant.hash();
+  };
+  const crypto::Digest loser = send_variant(0xA0);
+  EXPECT_TRUE(h.core(3).block_store().contains(loser));
+
+  // p0..p2 run view 1: p1's own proposal is certified and reaches p3 late.
+  for (ProcessId id = 0; id < 3; ++id) h.enter_view(id, 1);
+  h.settle();
+  ASSERT_EQ(h.core(3).high_qc().view(), 1);
+  const crypto::Digest winner = h.core(3).high_qc().block_hash();
+  ASSERT_NE(winner, loser);
+  EXPECT_TRUE(h.core(3).block_store().contains(winner));
+
+  // Two more variants fill the view's cap; a fifth distinct one is refused.
+  static_assert(ChainedHotStuff::kMaxStaleBlocksPerView == 4);
+  const crypto::Digest third = send_variant(0xA1);
+  const crypto::Digest fourth = send_variant(0xA2);
+  const crypto::Digest fifth = send_variant(0xA3);
+  EXPECT_TRUE(h.core(3).block_store().contains(third));
+  EXPECT_TRUE(h.core(3).block_store().contains(fourth));
+  EXPECT_FALSE(h.core(3).block_store().contains(fifth));
+
+  for (View v = 2; v <= 4; ++v) h.enter_view_all(v);
+  const auto& committed = h.node(3).committed;
+  EXPECT_NE(std::find(committed.begin(), committed.end(), winner), committed.end());
+}
+
+INSTANTIATE_TEST_SUITE_P(Rules, HotStuffEdgeTest, ::testing::ValuesIn(testutil::kChainRules),
+                         [](const auto& info) { return testutil::chain_rule_name(info.param); });
 
 }  // namespace
 }  // namespace lumiere::consensus

@@ -8,15 +8,16 @@ namespace lumiere::consensus {
 namespace {
 
 using Harness = testutil::CoreHarness<ChainedHotStuff>;
+constexpr ChainRule kRule = ChainRule::kThreeChain;
 
 TEST(ChainedHotStuffTest, ViewsProduceQcs) {
-  Harness h(4);
+  Harness h(kRule, 4);
   h.enter_view_all(0);
   EXPECT_TRUE(h.all_saw_qc(0));
 }
 
 TEST(ChainedHotStuffTest, ThreeChainCommits) {
-  Harness h(4);
+  Harness h(kRule, 4);
   for (View v = 0; v <= 3; ++v) h.enter_view_all(v);
   // Views 0,1,2 form a 3-chain with consecutive views once the QC for
   // view 2 circulates (inside view 3's proposal or QC broadcast):
@@ -31,7 +32,7 @@ TEST(ChainedHotStuffTest, ThreeChainCommits) {
 }
 
 TEST(ChainedHotStuffTest, CommitsAdvanceWithViews) {
-  Harness h(4);
+  Harness h(kRule, 4);
   for (View v = 0; v <= 10; ++v) h.enter_view_all(v);
   // With 11 consecutive successful views, at least 8 blocks commit.
   for (ProcessId id = 0; id < 4; ++id) {
@@ -41,7 +42,7 @@ TEST(ChainedHotStuffTest, CommitsAdvanceWithViews) {
 }
 
 TEST(ChainedHotStuffTest, LedgersPrefixConsistent) {
-  Harness h(7);
+  Harness h(kRule, 7);
   for (View v = 0; v <= 12; ++v) h.enter_view_all(v);
   const auto& reference = h.node(0).committed;
   ASSERT_FALSE(reference.empty());
@@ -55,7 +56,7 @@ TEST(ChainedHotStuffTest, LedgersPrefixConsistent) {
 }
 
 TEST(ChainedHotStuffTest, GapInViewsBlocksConsecutiveCommit) {
-  Harness h(4);
+  Harness h(kRule, 4);
   h.enter_view_all(0);
   h.enter_view_all(1);
   h.enter_view_all(3);  // view 2 skipped: 1 -> 3 not consecutive
@@ -71,7 +72,7 @@ TEST(ChainedHotStuffTest, GapInViewsBlocksConsecutiveCommit) {
 }
 
 TEST(ChainedHotStuffTest, LockingPreventsVoteOnStaleBranch) {
-  Harness h(4);
+  Harness h(kRule, 4);
   for (View v = 0; v <= 4; ++v) h.enter_view_all(v);
   // After view 4 the nodes are locked on at least view 2's block.
   EXPECT_GE(h.core(1).locked_qc().view(), 2);
@@ -92,7 +93,7 @@ TEST(ChainedHotStuffTest, LockingPreventsVoteOnStaleBranch) {
 }
 
 TEST(ChainedHotStuffTest, RequiresNewViewQuorumBeforeProposal) {
-  Harness h(4);
+  Harness h(kRule, 4);
   // Only the leader enters the view: without 2f+1 NewView messages it
   // must not propose.
   h.enter_view(0, 0);
@@ -109,7 +110,7 @@ TEST(ChainedHotStuffTest, RequiresNewViewQuorumBeforeProposal) {
 class HotStuffSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(HotStuffSweep, CommitsAcrossSizes) {
-  Harness h(GetParam());
+  Harness h(kRule, GetParam());
   for (View v = 0; v <= 6; ++v) h.enter_view_all(v);
   for (ProcessId id = 0; id < GetParam(); ++id) {
     EXPECT_GE(h.node(id).committed.size(), 3U);

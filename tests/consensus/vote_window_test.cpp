@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "consensus/chained_hotstuff.h"
-#include "consensus/hotstuff2.h"
 #include "consensus/simple_view_core.h"
 #include "testutil/core_harness.h"
 
@@ -19,9 +18,9 @@ namespace {
 /// co-resident voters (one early node passed through the view before the
 /// proposal landed), the leader then moves on, and the two stragglers'
 /// votes arrive late. The QC for view 1 must never form.
-template <typename Core>
-void expect_no_late_qc() {
-  testutil::CoreHarness<Core> h(7);
+template <typename Core, typename... RuleArg>
+void expect_no_late_qc(RuleArg... rule) {
+  testutil::CoreHarness<Core> h(rule..., 7);
   h.enter_view_all(0);
   ASSERT_TRUE(h.all_saw_qc(0));
 
@@ -57,9 +56,12 @@ void expect_no_late_qc() {
 
 TEST(VoteWindowTest, SimpleViewCoreDropsLateVotes) { expect_no_late_qc<SimpleViewCore>(); }
 
-TEST(VoteWindowTest, ChainedHotStuffDropsLateVotes) { expect_no_late_qc<ChainedHotStuff>(); }
+class ChainedVoteWindowTest : public ::testing::TestWithParam<ChainRule> {};
 
-TEST(VoteWindowTest, HotStuff2DropsLateVotes) { expect_no_late_qc<HotStuff2>(); }
+TEST_P(ChainedVoteWindowTest, DropsLateVotes) { expect_no_late_qc<ChainedHotStuff>(GetParam()); }
+
+INSTANTIATE_TEST_SUITE_P(Rules, ChainedVoteWindowTest, ::testing::ValuesIn(testutil::kChainRules),
+                         [](const auto& info) { return testutil::chain_rule_name(info.param); });
 
 /// Votes arriving while the leader is still *in* the view are aggregated
 /// even when voters trickle in — (diamond-2) needs a shared interval,

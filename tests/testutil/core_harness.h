@@ -5,10 +5,11 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "consensus/chained_hotstuff.h"
-#include "consensus/hotstuff2.h"
 #include "consensus/simple_view_core.h"
 #include "crypto/authenticator.h"
 #include "sim/delay_policy.h"
@@ -16,6 +17,15 @@
 #include "sim/simulator.h"
 
 namespace lumiere::testutil {
+
+/// Both ChainedHotStuff rules, for suites parameterized over ChainRule.
+inline constexpr consensus::ChainRule kChainRules[] = {consensus::ChainRule::kThreeChain,
+                                                      consensus::ChainRule::kTwoChain};
+
+/// Test-name suffix for a ChainRule parameter.
+inline const char* chain_rule_name(consensus::ChainRule rule) {
+  return rule == consensus::ChainRule::kThreeChain ? "ThreeChain" : "TwoChain";
+}
 
 template <typename Core>
 class CoreHarness {
@@ -27,44 +37,19 @@ class CoreHarness {
     std::vector<crypto::Digest> committed;
   };
 
+  static constexpr bool kChained = std::is_same_v<Core, consensus::ChainedHotStuff>;
+
   explicit CoreHarness(std::uint32_t n, Duration delay = Duration::micros(10),
                        std::function<bool(View)> may_form_qc = nullptr)
-      : params_(ProtocolParams::for_n(n, Duration::millis(10))),
-        auth_(crypto::make_authenticator(crypto::kDefaultScheme, n, 99)),
-        network_(&sim_, n, TimePoint::origin(), params_.delta_cap,
-                 std::make_shared<sim::FixedDelay>(delay), 3) {
-    nodes_.resize(n);
-    for (ProcessId id = 0; id < n; ++id) {
-      consensus::CoreCallbacks cb;
-      cb.send = [this, id](ProcessId to, MessagePtr msg) {
-        network_.send(id, to, std::move(msg));
-      };
-      cb.broadcast = [this, id](MessagePtr msg) { network_.broadcast(id, msg); };
-      cb.qc_seen = [this, id](const consensus::QuorumCert& qc) {
-        nodes_[id].qcs_seen.push_back(qc);
-      };
-      cb.qc_formed = [this, id](const consensus::QuorumCert& qc) {
-        nodes_[id].qcs_formed.push_back(qc);
-      };
-      cb.decided = [this, id](const consensus::Block& b) {
-        nodes_[id].committed.push_back(b.hash());
-      };
-      cb.schedule = [this](Duration delay, std::function<void()> fn) {
-        sim_.schedule_after(delay, std::move(fn));
-      };
-      consensus::PacemakerHooks hooks;
-      hooks.leader_of = [n](View v) {
-        return static_cast<ProcessId>(v >= 0 ? v % n : 0);
-      };
-      hooks.may_form_qc = may_form_qc;
-      nodes_[id].core = std::make_unique<Core>(params_, crypto::AuthView(auth_.get()),
-                                               auth_->signer_for(id), std::move(cb),
-                                               std::move(hooks));
-      network_.register_endpoint(id, [this, id](ProcessId from, const MessagePtr& msg) {
-        nodes_[id].core->on_message(from, msg);
-      });
-    }
-  }
+    requires(!kChained)
+      : CoreHarness(std::nullopt, n, delay, std::move(may_form_qc)) {}
+
+  /// Every ChainedHotStuff core runs under `rule`.
+  explicit CoreHarness(consensus::ChainRule rule, std::uint32_t n,
+                       Duration delay = Duration::micros(10),
+                       std::function<bool(View)> may_form_qc = nullptr)
+    requires kChained
+      : CoreHarness(std::optional(rule), n, delay, std::move(may_form_qc)) {}
 
   /// Moves every core into view v and drains the network.
   void enter_view_all(View v) {
@@ -98,6 +83,50 @@ class CoreHarness {
   }
 
  private:
+  CoreHarness(std::optional<consensus::ChainRule> rule, std::uint32_t n, Duration delay,
+              std::function<bool(View)> may_form_qc)
+      : params_(ProtocolParams::for_n(n, Duration::millis(10))),
+        auth_(crypto::make_authenticator(crypto::kDefaultScheme, n, 99)),
+        network_(&sim_, n, TimePoint::origin(), params_.delta_cap,
+                 std::make_shared<sim::FixedDelay>(delay), 3) {
+    nodes_.resize(n);
+    for (ProcessId id = 0; id < n; ++id) {
+      consensus::CoreCallbacks cb;
+      cb.send = [this, id](ProcessId to, MessagePtr msg) {
+        network_.send(id, to, std::move(msg));
+      };
+      cb.broadcast = [this, id](MessagePtr msg) { network_.broadcast(id, msg); };
+      cb.qc_seen = [this, id](const consensus::QuorumCert& qc) {
+        nodes_[id].qcs_seen.push_back(qc);
+      };
+      cb.qc_formed = [this, id](const consensus::QuorumCert& qc) {
+        nodes_[id].qcs_formed.push_back(qc);
+      };
+      cb.decided = [this, id](const consensus::Block& b) {
+        nodes_[id].committed.push_back(b.hash());
+      };
+      cb.schedule = [this](Duration delay, std::function<void()> fn) {
+        sim_.schedule_after(delay, std::move(fn));
+      };
+      consensus::PacemakerHooks hooks;
+      hooks.leader_of = [n](View v) {
+        return static_cast<ProcessId>(v >= 0 ? v % n : 0);
+      };
+      hooks.may_form_qc = may_form_qc;
+      if constexpr (kChained) {
+        nodes_[id].core = std::make_unique<Core>(*rule, params_, auth_view(),
+                                                 auth_->signer_for(id), std::move(cb),
+                                                 std::move(hooks));
+      } else {
+        nodes_[id].core = std::make_unique<Core>(params_, auth_view(), auth_->signer_for(id),
+                                                 std::move(cb), std::move(hooks));
+      }
+      network_.register_endpoint(id, [this, id](ProcessId from, const MessagePtr& msg) {
+        nodes_[id].core->on_message(from, msg);
+      });
+    }
+  }
+
   ProtocolParams params_;
   std::unique_ptr<crypto::Authenticator> auth_;
   sim::Simulator sim_;
